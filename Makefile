@@ -83,9 +83,11 @@ lint:
 # The fault-injection gate: every numbered algorithm against every fault
 # family (crash/drop/dup/reorder/delay/partition) over real TCP, in-budget
 # plans must agree and replay byte-identically, over-budget plans must fail
-# typed. Also run standalone for a quick transport-layer signal.
+# typed; plus the table test of sim.FilterFaults, the one delivery filter
+# both substrates apply plans through. Also run standalone for a quick
+# transport-layer signal.
 faults:
-	$(GO) test -race -count=1 ./internal/transport/ -run 'TestScenarioMatrix|TestCrashAtPhaseK|TestOverBudgetFaultsFailTyped'
+	$(GO) test -race -count=1 ./internal/transport/ ./internal/sim/ -run 'TestScenarioMatrix|TestCrashAtPhaseK|TestOverBudgetFaultsFailTyped|TestFilterFaults'
 
 test:
 	$(GO) test ./...
@@ -185,14 +187,17 @@ bench-search: search
 	/tmp/benchjson -label current < /tmp/byzex-search-bench.txt > BENCH_009.json
 
 # Short fixed-budget fuzzing of every decoder that touches attacker-supplied
-# bytes: the wire codec (seeded from captured real-run envelopes) and the
-# signature-chain unmarshalers. `go test -fuzz` accepts one target per run.
+# bytes: the wire codec (seeded from captured real-run envelopes), the
+# signature-chain unmarshalers and the fault-spec parser (accepted specs must
+# round-trip through FormatSpec to the same plan). `go test -fuzz` accepts
+# one target per run.
 fuzz:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz 'FuzzFrameBodyDecode$$' -fuzztime 20s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz 'FuzzReaderPrimitives$$' -fuzztime 10s
 	$(GO) test ./internal/sig/ -run '^$$' -fuzz 'FuzzUnmarshalSignedValue$$' -fuzztime 10s
 	$(GO) test ./internal/sig/ -run '^$$' -fuzz 'FuzzUnmarshalSignedBytes$$' -fuzztime 10s
 	$(GO) test ./internal/sig/ -run '^$$' -fuzz 'FuzzChainVerifyNeverAcceptsUnsigned$$' -fuzztime 10s
+	$(GO) test ./internal/faultnet/ -run '^$$' -fuzz 'FuzzParseSpec$$' -fuzztime 10s
 
 # End-to-end smoke of the trace pipeline: run basim with -trace (which
 # itself fails if the trace disagrees with metrics.Report), then parse and

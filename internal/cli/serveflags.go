@@ -41,7 +41,6 @@ type ServeFlags struct {
 
 	// Pipeline flags.
 	Shards   *int
-	Inflight *int
 	Queue    *int
 	Batch    *int
 	Adaptive *bool
@@ -83,7 +82,6 @@ func RegisterServeFlags(fs *flag.FlagSet) *ServeFlags {
 	sf.LinkDelay = fs.Duration("link-delay", 0, "with -transport tcp: modeled one-way link latency per phase")
 
 	sf.Shards = fs.Int("shards", 0, "shard workers executing instances concurrently (default GOMAXPROCS)")
-	sf.Inflight = fs.Int("inflight", 0, "deprecated alias for -shards")
 	sf.Queue = fs.Int("queue", 64, "admission queue depth")
 	sf.Batch = fs.Int("batch", 1, "max values coalesced into one instance (fixed batching)")
 	sf.Adaptive = fs.Bool("adaptive", false, "adaptive batching inside [-batch-min, -batch-max] instead of fixed -batch")
@@ -117,12 +115,11 @@ func (sf *ServeFlags) Template() Template {
 // callers attach OpenSpool's spool (or any sink) to the returned config.
 func (sf *ServeFlags) ServiceConfig(tmpl core.Config) (service.Config, error) {
 	cfg := service.Config{
-		Template:    tmpl,
-		Shards:      *sf.Shards,
-		MaxInFlight: *sf.Inflight,
-		QueueDepth:  *sf.Queue,
-		BatchSize:   *sf.Batch,
-		Linger:      *sf.Linger,
+		Template:   tmpl,
+		Shards:     *sf.Shards,
+		QueueDepth: *sf.Queue,
+		BatchSize:  *sf.Batch,
+		Linger:     *sf.Linger,
 	}
 	switch *sf.Transport {
 	case "memory":

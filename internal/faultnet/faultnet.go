@@ -19,8 +19,10 @@
 // replay within the phase, delay = replay d phases later, reorder =
 // permuted packing). Affected lists exactly those senders; a run that
 // marks Affected ⊆ faulty with |faulty| ≤ t must therefore still reach
-// agreement, and the scenario-matrix tests in package transport assert it
-// for every algorithm.
+// agreement. Both substrates apply a plan through one delivery filter,
+// sim.FilterFaults, so a plan means the same thing in memory and over TCP;
+// the scenario-matrix tests in package transport run every algorithm
+// under every fault family on both and assert agreement.
 package faultnet
 
 import (
@@ -212,7 +214,7 @@ func Compile(spec Spec, seed int64) (*Plan, error) {
 		if r.First < 1 || r.Last < r.First {
 			return nil, fmt.Errorf("%w: rule %d: phase window [%d,%d]", ErrBadSpec, i, r.First, r.Last)
 		}
-		if r.Prob <= 0 || r.Prob > 1 {
+		if !(r.Prob > 0 && r.Prob <= 1) { // also rejects NaN
 			return nil, fmt.Errorf("%w: rule %d: probability %g outside (0,1]", ErrBadSpec, i, r.Prob)
 		}
 		rr := r
@@ -352,28 +354,6 @@ func (p *Plan) CrashSilent(phase int, to ident.ProcID, n int) int {
 	count := 0
 	for id, cp := range p.crash {
 		if id != to && int(id) < n && cp <= phase {
-			count++
-		}
-	}
-	return count
-}
-
-// Veiled counts the live senders (≠ to, among n processors) whose phase
-// frame arrives but whose content this plan withholds from to (dropped or
-// delayed). Together with the physically absent senders this is the
-// receiver's per-phase information gap, which the transport checks against
-// the fault bound t.
-func (p *Plan) Veiled(phase int, to ident.ProcID, n int) int {
-	if p.Empty() {
-		return 0
-	}
-	count := 0
-	for s := 0; s < n; s++ {
-		from := ident.ProcID(s)
-		if from == to || p.Crashed(from, phase) {
-			continue
-		}
-		if k := p.FrameAction(phase, from, to).Kind; k == ActDrop || k == ActDelay {
 			count++
 		}
 	}

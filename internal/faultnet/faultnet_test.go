@@ -2,6 +2,7 @@ package faultnet
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"byzex/internal/ident"
@@ -52,6 +53,11 @@ func TestParseSpecErrors(t *testing.T) {
 		"partition=1,2@3",
 		"drop=1->2@a-b",
 		"drop=1->2@1/zz",
+		// Processor ids beyond ProcID's int32 range must not alias.
+		"drop=4294967297->0@1",
+		"drop=4294967295->2@1",
+		"crash=4294967297@2",
+		"partition=4294967297|2@1",
 	} {
 		if _, err := ParseSpec(s); !errors.Is(err, ErrBadSpec) {
 			t.Errorf("ParseSpec(%q) = %v, want ErrBadSpec", s, err)
@@ -69,6 +75,7 @@ func TestCompileValidation(t *testing.T) {
 		"window before one":   {Rules: []Rule{{Kind: KDrop, From: 1, To: 2, First: 0, Last: 3, Prob: 1}}},
 		"prob zero":           {Rules: []Rule{{Kind: KDrop, From: 1, To: 2, First: 1, Last: 1, Prob: 0}}},
 		"prob above one":      {Rules: []Rule{{Kind: KDrop, From: 1, To: 2, First: 1, Last: 1, Prob: 1.5}}},
+		"prob NaN":            {Rules: []Rule{{Kind: KDrop, From: 1, To: 2, First: 1, Last: 1, Prob: math.NaN()}}},
 		"empty group":         {Rules: []Rule{{Kind: KPartition, GroupA: ident.NewSet(1), GroupB: ident.NewSet(), First: 1, Last: 1, Prob: 1}}},
 		"overlapping groups":  {Rules: []Rule{{Kind: KPartition, GroupA: ident.NewSet(1, 2), GroupB: ident.NewSet(2, 3), First: 1, Last: 1, Prob: 1}}},
 		"unknown kind":        {Rules: []Rule{{Kind: 0, First: 1, Last: 1, Prob: 1}}},
@@ -97,8 +104,8 @@ func TestNilPlanIsInert(t *testing.T) {
 	if p.CrashPhase(3) != 0 || p.Crashed(3, 9) {
 		t.Error("nil plan crashes")
 	}
-	if p.CrashSilent(1, 0, 5) != 0 || p.Veiled(1, 0, 5) != 0 {
-		t.Error("nil plan withholds")
+	if p.CrashSilent(1, 0, 5) != 0 {
+		t.Error("nil plan silences senders")
 	}
 	if p.Affected(5).Len() != 0 {
 		t.Error("nil plan affects")
@@ -190,19 +197,6 @@ func TestCrashAccounting(t *testing.T) {
 	}
 	if got := p.CrashSilent(2, 1, 4); got != 0 {
 		t.Errorf("CrashSilent for the crashed receiver itself = %d, want 0", got)
-	}
-}
-
-func TestVeiled(t *testing.T) {
-	p := MustParse("crash=3@2;drop=0->2@1-2;delay=1->2@2+1", 1)
-	if got := p.Veiled(1, 2, 4); got != 1 { // only the drop covers phase 1
-		t.Errorf("Veiled(1, p2) = %d, want 1", got)
-	}
-	if got := p.Veiled(2, 2, 4); got != 2 { // drop + delay; 3 is crashed, not veiled
-		t.Errorf("Veiled(2, p2) = %d, want 2", got)
-	}
-	if got := p.Veiled(1, 0, 4); got != 0 {
-		t.Errorf("Veiled(1, p0) = %d, want 0", got)
 	}
 }
 

@@ -171,7 +171,9 @@ func parseProc(s string) (ident.ProcID, error) {
 	if s == "*" {
 		return ident.None, nil
 	}
-	v, err := strconv.Atoi(s)
+	// Parse at ProcID's width: a wider id would alias a smaller one (or the
+	// -1 wildcard) when narrowed.
+	v, err := strconv.ParseInt(s, 10, 32)
 	if err != nil || v < 0 {
 		return 0, fmt.Errorf("%w: processor %q", ErrBadSpec, s)
 	}

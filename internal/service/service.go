@@ -116,11 +116,6 @@ type Config struct {
 	// Shards is the number of identified shard workers executing instances
 	// concurrently; values below one select runtime.GOMAXPROCS(0).
 	Shards int
-	// MaxInFlight is the deprecated name for Shards, honored when Shards
-	// is zero so existing callers keep their concurrency bound.
-	//
-	// Deprecated: set Shards.
-	MaxInFlight int
 	// QueueDepth bounds the admission queue (default 64, minimum 1).
 	QueueDepth int
 	// BatchSize fixes the batch size when no adaptive window is configured
@@ -388,9 +383,6 @@ func New(ctx context.Context, cfg Config) (*Service, error) {
 		cfg.QueueDepth = 64
 	}
 	shards := cfg.Shards
-	if shards < 1 {
-		shards = cfg.MaxInFlight
-	}
 	if shards < 1 {
 		shards = runtime.GOMAXPROCS(0)
 	}

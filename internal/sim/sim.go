@@ -220,11 +220,11 @@ type Config struct {
 	// disables tracing at the cost of one nil check per potential event;
 	// the disabled path allocates nothing.
 	Trace trace.Sink
-	// Faults is a compiled fault-injection plan (optional). The engine
-	// mirrors the TCP transport's frame-layer semantics on its delivery
-	// path: per (sending phase, sender, receiver) "frame" — the group of
-	// envelopes one sender submitted to one recipient in one phase — the
-	// plan may drop, delay, duplicate or reorder the group, and
+	// Faults is a compiled fault-injection plan (optional). The engine runs
+	// every live receiver's delivery through FilterFaults, the filter the
+	// TCP transport uses too: per (sending phase, sender, receiver) "frame"
+	// — the group of envelopes one sender submitted to one recipient in one
+	// phase — the plan may drop, delay, duplicate or reorder the group, and
 	// crash-at-phase-k halts a processor (its Step is never called from
 	// phase k on). A nil plan injects nothing and costs one nil check per
 	// phase.
@@ -303,10 +303,9 @@ type Engine struct {
 	// current phase before each Step instead of allocated per step.
 	ctxs []Context
 
-	// delayed stashes fault-plan-delayed envelopes: delayed[phase][to] is
-	// appended to to's inbox at the start of that phase. Nil unless a
-	// fault plan is active.
-	delayed map[int]map[int][]Envelope
+	// held[to] stashes to's fault-plan-delayed envelopes (see
+	// FilterFaults). Nil unless a fault plan is active.
+	held []Held
 }
 
 // New builds an engine over the given nodes; nodes[i] is the state machine
@@ -330,6 +329,9 @@ func New(cfg Config, nodes []Node) (*Engine, error) {
 		pending:   make([][]Envelope, cfg.N),
 		inboxes:   make([][]Envelope, cfg.N),
 		ctxs:      make([]Context, cfg.N),
+	}
+	if cfg.Faults != nil {
+		e.held = make([]Held, cfg.N)
 	}
 	submit := e.submit // one bound method value shared by every context
 	for i := range e.ctxs {
@@ -381,8 +383,20 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 			e.pending[to] = e.pending[to][:0]
 			sortInbox(e.inboxes[to])
 		}
-		if e.cfg.Faults != nil {
-			e.applyFaults(phase)
+		if plan := e.cfg.Faults; plan != nil {
+			// Announce crash halts; the crashed processor's Step is skipped
+			// below. Then filter every live receiver's delivery of the
+			// previous phase's frames.
+			for id := 0; id < e.cfg.N; id++ {
+				if plan.CrashPhase(ident.ProcID(id)) == phase && e.cfg.Trace != nil {
+					e.cfg.Trace.Emit(trace.Event{Kind: trace.KindFaultCrash, Phase: phase, From: ident.ProcID(id), To: ident.None})
+				}
+			}
+			for r := 0; r < e.cfg.N && phase > 1; r++ {
+				if to := ident.ProcID(r); !plan.Crashed(to, phase) {
+					e.inboxes[r], _ = FilterFaults(plan, e.cfg.N, phase-1, to, e.inboxes[r], &e.held[r], e.cfg.Trace)
+				}
+			}
 		}
 		if !e.cfg.Rushing {
 			for id := 0; id < e.cfg.N; id++ {
@@ -473,119 +487,6 @@ func (e *Engine) step(id, phase int, extra []Envelope) error {
 		return fmt.Errorf("sim: processor %d failed at phase %d: %w", id, phase, err)
 	}
 	return nil
-}
-
-// applyFaults mirrors the TCP transport's frame-layer fault injection on
-// the engine's delivery path, once per phase before any node is stepped.
-// For every live receiver it walks the senders in identity order, treats
-// the sender's contiguous envelope group in the (sorted) inbox as one
-// "frame" of sending phase phase-1, and applies the plan's verdict: drop
-// discards the group, delay stashes a copy for redelivery Delay phases
-// later, dup appends a second copy, reorder reverses the group. Exactly
-// one fault-* event is emitted per acted-on frame — also for empty frames,
-// matching the transport, which always has a frame on the wire — so trace
-// counters equal Plan.ExpectedCounters. Crash halts are announced here
-// too; the crashed processor's Step is skipped by the Run loop.
-func (e *Engine) applyFaults(phase int) {
-	plan := e.cfg.Faults
-	for id := 0; id < e.cfg.N; id++ {
-		if plan.CrashPhase(ident.ProcID(id)) == phase && e.cfg.Trace != nil {
-			e.cfg.Trace.Emit(trace.Event{Kind: trace.KindFaultCrash, Phase: phase, From: ident.ProcID(id), To: ident.None})
-		}
-	}
-	sendPhase := phase - 1
-	if sendPhase < 1 {
-		return
-	}
-	for r := 0; r < e.cfg.N; r++ {
-		to := ident.ProcID(r)
-		if plan.Crashed(to, phase) {
-			continue
-		}
-		in := e.inboxes[r]
-		out := make([]Envelope, 0, len(in))
-		idx := 0
-		changed := false
-		for s := 0; s < e.cfg.N; s++ {
-			from := ident.ProcID(s)
-			start := idx
-			for idx < len(in) && in[idx].From == from {
-				idx++
-			}
-			group := in[start:idx]
-			if from == to || plan.Crashed(from, sendPhase) {
-				out = append(out, group...)
-				continue
-			}
-			act := plan.FrameAction(sendPhase, from, to)
-			if act.Kind != faultnet.ActNone && e.cfg.Trace != nil {
-				e.cfg.Trace.Emit(trace.Event{
-					Kind: faultKind(act.Kind), Phase: sendPhase, From: from, To: to, Sigs: act.Delay,
-				})
-			}
-			switch act.Kind {
-			case faultnet.ActDrop:
-				changed = true
-			case faultnet.ActDelay:
-				if len(group) > 0 {
-					target := phase + act.Delay
-					if e.delayed == nil {
-						e.delayed = make(map[int]map[int][]Envelope)
-					}
-					if e.delayed[target] == nil {
-						e.delayed[target] = make(map[int][]Envelope)
-					}
-					// Copy: the inbox backing array is recycled as next
-					// phase's pending buffer (payloads are never recycled,
-					// so value copies suffice).
-					e.delayed[target][r] = append(e.delayed[target][r], group...)
-				}
-				changed = true
-			case faultnet.ActDup:
-				out = append(out, group...)
-				out = append(out, group...)
-				changed = true
-			case faultnet.ActReorder:
-				for i := len(group) - 1; i >= 0; i-- {
-					out = append(out, group[i])
-				}
-				changed = true
-			default:
-				out = append(out, group...)
-			}
-		}
-		// Envelopes past idx (none in practice: From is always in [0,n))
-		// are preserved untouched.
-		out = append(out, in[idx:]...)
-		if late := e.delayed[phase][r]; len(late) > 0 {
-			// Redeliver plan-delayed frames after the current content, then
-			// restore sender order — the stable sort keeps a sender's
-			// current-phase messages ahead of its late ones, matching the
-			// transport's merge.
-			out = append(out, late...)
-			delete(e.delayed[phase], r)
-			sortInbox(out)
-			changed = true
-		}
-		if changed {
-			e.inboxes[r] = out
-		}
-	}
-}
-
-// faultKind maps a plan action to its trace event kind.
-func faultKind(k faultnet.ActionKind) trace.Kind {
-	switch k {
-	case faultnet.ActDrop:
-		return trace.KindFaultDrop
-	case faultnet.ActDelay:
-		return trace.KindFaultDelay
-	case faultnet.ActDup:
-		return trace.KindFaultDup
-	case faultnet.ActReorder:
-		return trace.KindFaultReorder
-	}
-	return 0
 }
 
 // sortInbox orders an inbox by sender id, preserving the submission order of

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"byzex/internal/faultnet"
 	"byzex/internal/ident"
 	"byzex/internal/sim"
 	"byzex/internal/wire"
@@ -127,54 +126,6 @@ func TestNoteFrameLateDrop(t *testing.T) {
 	defer p.mu.Unlock()
 	if len(p.inbound) != 0 || len(p.arrived) != 0 {
 		t.Fatalf("late frame resurrected phase maps: inbound=%v arrived=%v", p.inbound, p.arrived)
-	}
-}
-
-// TestNoteFrameFaultTransforms drives the four frame-layer verdicts through
-// noteFrame directly: drop empties but still arrives, delay stashes for the
-// due phase, dup doubles, reorder reverses.
-func TestNoteFrameFaultTransforms(t *testing.T) {
-	plan := faultnet.MustParse("drop=1->0@1;delay=2->0@1+1;dup=1->0@2;reorder=2->0@2", 7)
-	p := testPeer(peerConfig{id: 0, n: 4, t: 3, timeout: 10 * time.Millisecond, faults: plan})
-
-	env := func(from ident.ProcID, phase int, tag string) sim.Envelope {
-		return sim.Envelope{From: from, To: 0, Phase: phase, Payload: []byte(tag)}
-	}
-
-	// Phase 1: 1->0 dropped, 2->0 delayed one phase, 3->0 untouched.
-	p.noteFrame(1, 1, []sim.Envelope{env(1, 1, "dropped")})
-	p.noteFrame(1, 2, []sim.Envelope{env(2, 1, "held")})
-	p.noteFrame(1, 3, []sim.Envelope{env(3, 1, "clean")})
-	inbox, err := p.waitPhase(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(inbox) != 1 || string(inbox[0].Payload) != "clean" {
-		t.Fatalf("phase 1 inbox: %+v", inbox)
-	}
-
-	// Phase 2: 1->0 duplicated, 2->0 reordered; the held phase-1 message is
-	// due now and must sort after sender 2's current traffic.
-	p.noteFrame(2, 1, []sim.Envelope{env(1, 2, "twice")})
-	p.noteFrame(2, 2, []sim.Envelope{env(2, 2, "b"), env(2, 2, "a")})
-	p.noteFrame(2, 3, nil)
-	inbox, err = p.waitPhase(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sortInbox(inbox)
-	var got []string
-	for _, e := range inbox {
-		got = append(got, string(e.Payload))
-	}
-	want := []string{"twice", "twice", "a", "b", "held"}
-	if len(got) != len(want) {
-		t.Fatalf("phase 2 inbox %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("phase 2 inbox %v, want %v", got, want)
-		}
 	}
 }
 
